@@ -15,7 +15,7 @@ OBS_COVER_FLOOR ?= 80
 SCENARIO_COVER_FLOOR ?= 80
 AUTOTUNE_COVER_FLOOR ?= 80
 
-.PHONY: build test bench alloccheck verify cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
+.PHONY: build test bench alloccheck verify fuzz cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
 
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
@@ -37,12 +37,20 @@ bench:
 
 # Allocation regressions: the interpreter hot path must stay at zero
 # machinery allocations, the steady-state request path under its
-# per-request ceiling, and the store's crash-retry pick path (exclusion
-# lists in force) at zero allocations.
+# per-request ceiling, the store's crash-retry pick path (exclusion
+# lists in force) at zero allocations, and a warm-cache package fetch
+# under its per-fetch ceiling.
 alloccheck:
 	$(GO) test -count=1 -v -run 'AllocFree|AllocRegression|TestStreamAllocFree' \
 		./internal/interp/ ./internal/microarch/ ./internal/server/ \
-		./internal/jumpstart/
+		./internal/jumpstart/ ./internal/jumpstart/transport/
+
+# Fuzzing: each target runs for 10s on top of its committed seed
+# corpus (testdata/fuzz/<target>); `go test` alone replays the corpus.
+# A crasher lands in testdata/fuzz and fails every later `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecompressChunk$$' -fuzztime 10s ./internal/jumpstart/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s ./internal/jumpstart/transport/
 
 # CI gate: vet plus the full suite under the race detector. The
 # parallel-vs-sequential determinism tests run here, so this also

@@ -17,9 +17,12 @@ import (
 // HTTPConn over real localhost/network sockets); the Client owns
 // retries, backoff, budgets, verification and reassembly.
 type Conn interface {
-	// Manifest asks the store to pick a package and describe it.
+	// Manifest asks the store to pick a package and describe it. The
+	// manifest may be shared with other callers and is read-only.
 	Manifest(region, bucket int, rnd uint64, exclude []jumpstart.PackageID) (*Manifest, error)
 	// Chunk fetches the compressed bytes of chunk idx of package id.
+	// The bytes may be shared with the server and other clients and
+	// are read-only.
 	Chunk(id jumpstart.PackageID, idx int) ([]byte, error)
 	// Publish uploads a collected package stamped with the publisher's
 	// build revision checksum (0 when unknown).
@@ -326,6 +329,9 @@ func (c *Client) FetchChunk(man *Manifest, idx int) (*ChunkResult, error) {
 	if man == nil || idx < 0 || idx >= len(man.Chunks) {
 		return nil, fmt.Errorf("%w: page-in chunk %d out of range", ErrRPC, idx)
 	}
+	if err := checkManifest(man); err != nil {
+		return nil, err
+	}
 	start := c.clock.Now()
 	c.deadline = start + c.cfg.Budget
 	jit := netsim.NewStream(workload.Fork(c.cfg.Seed, c.fetches))
@@ -380,6 +386,25 @@ func (c *Client) FetchChunk(man *Manifest, idx int) (*ChunkResult, error) {
 	}
 }
 
+// checkManifest rejects a manifest whose geometry no stored package
+// can have: the client sizes its reassembly buffer from Size and bounds
+// every chunk's inflation by ChunkSize, so both come off the network
+// and must be checked before use.
+func checkManifest(m *Manifest) error {
+	if m.Size < 0 || m.Size > maxPublishBytes || m.ChunkSize <= 0 {
+		return fmt.Errorf("%w: manifest size %d, chunk size %d", ErrRPC, m.Size, m.ChunkSize)
+	}
+	n := m.Size / m.ChunkSize
+	if m.Size%m.ChunkSize != 0 {
+		n++
+	}
+	if len(m.Chunks) != n {
+		return fmt.Errorf("%w: manifest lists %d chunks, size %d needs %d",
+			ErrRPC, len(m.Chunks), m.Size, n)
+	}
+	return nil
+}
+
 // tryOnce runs one transfer attempt: resolve the manifest if not yet
 // held, then fetch every chunk still missing from the cache. The
 // content-addressed cache is what makes a retry resume mid-transfer.
@@ -395,8 +420,8 @@ func (c *Client) tryOnce(region, bucket int, rnd uint64, exclude []jumpstart.Pac
 		if err != nil {
 			return nil, err
 		}
-		if mm.ChunkSize <= 0 {
-			return nil, fmt.Errorf("%w: manifest chunk size %d", ErrRPC, mm.ChunkSize)
+		if err := checkManifest(mm); err != nil {
+			return nil, err
 		}
 		*m = mm
 	}

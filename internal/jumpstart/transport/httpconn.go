@@ -72,6 +72,12 @@ func (c *HTTPConn) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.
 	if err != nil {
 		return nil, err
 	}
+	return decodeManifest(body)
+}
+
+// decodeManifest parses a manifest response body. It checks only the
+// JSON; the Client validates the manifest's geometry for every Conn.
+func decodeManifest(body []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(body, m); err != nil {
 		return nil, fmt.Errorf("%w: bad manifest: %v", ErrRPC, err)

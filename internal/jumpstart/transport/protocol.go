@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"sync"
 
 	"jumpstart/internal/jumpstart"
 )
@@ -121,15 +122,23 @@ func compressChunk(b []byte) []byte {
 	return buf.Bytes()
 }
 
+// gzipReaders recycles chunk decompressors: a gzip.Reader carries a
+// 32 KiB inflate window, far more than the chunks it inflates, and Reset
+// reinitialises every bit of per-stream state.
+var gzipReaders sync.Pool
+
 // decompressChunk inflates a wire chunk, refusing to inflate past
 // maxLen (a corrupt or malicious chunk must not OOM a consumer, same
 // rule as prof.Decode).
 func decompressChunk(wire []byte, maxLen int) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(wire))
-	if err != nil {
+	zr, ok := gzipReaders.Get().(*gzip.Reader)
+	if !ok {
+		zr = new(gzip.Reader)
+	}
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(wire)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)
 	}
-	defer zr.Close()
 	out, err := io.ReadAll(io.LimitReader(zr, int64(maxLen)+1))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadChunk, err)

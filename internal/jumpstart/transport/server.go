@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"jumpstart/internal/jumpstart"
 	"jumpstart/internal/telemetry"
@@ -20,9 +21,20 @@ const maxPublishBytes = 64 << 20
 // It is used two ways: directly (method calls) by the simulated
 // network's SimConn, and over HTTP via Handler for the real
 // two-process jumpstartd deployment.
+//
+// A package's wire form (its manifest and gzip chunks) is a pure
+// function of its immutable bytes, and thousands of consumers fetch
+// the same few packages, so the server builds it once per package on
+// first request and serves every later RPC from that memo. The store
+// stays the source of truth: every RPC still resolves the package
+// through Pick/Get, so a removed package errors and its entry is
+// dropped.
 type Server struct {
 	store     *jumpstart.Store
 	chunkSize int
+
+	mu   sync.Mutex
+	wire map[jumpstart.PackageID]*wirePackage
 
 	// tel/clock observe RPC traffic; telemetry never alters behavior.
 	tel   *telemetry.Set
@@ -35,7 +47,44 @@ func NewServer(store *jumpstart.Store, chunkSize int) *Server {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &Server{store: store, chunkSize: chunkSize}
+	return &Server{store: store, chunkSize: chunkSize,
+		wire: make(map[jumpstart.PackageID]*wirePackage)}
+}
+
+// wirePackage is the memoised wire form of one stored package. Both
+// fields are shared by every RPC that serves the package and must
+// never be written after construction.
+type wirePackage struct {
+	man    *Manifest
+	chunks [][]byte // compressChunk of each chunk, in manifest order
+}
+
+// wireFor returns p's wire form, building it on first use. Package
+// IDs are never reused within a Store and published bytes never
+// change, so an entry can only go stale by removal, which Chunk
+// handles. The build runs outside s.mu so requests for other packages
+// never wait on it; two racing builds of one package produce the same
+// bytes, and the first to be inserted wins.
+func (s *Server) wireFor(p *jumpstart.StoredPackage) *wirePackage {
+	s.mu.Lock()
+	w, ok := s.wire[p.ID]
+	s.mu.Unlock()
+	if ok {
+		return w
+	}
+	w = &wirePackage{man: manifestFor(p, s.chunkSize)}
+	w.chunks = make([][]byte, len(w.man.Chunks))
+	for i := range w.chunks {
+		lo, hi, _ := chunkBounds(len(p.Data), s.chunkSize, i)
+		w.chunks[i] = compressChunk(p.Data[lo:hi])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.wire[p.ID]; ok {
+		return prev
+	}
+	s.wire[p.ID] = w
+	return w
 }
 
 // Store returns the backing package store.
@@ -56,7 +105,8 @@ func (s *Server) now() float64 {
 }
 
 // Manifest picks a package for (region, bucket) with the given random
-// value and exclusion list, and returns its chunk manifest.
+// value and exclusion list, and returns its chunk manifest. The
+// manifest is shared with every other caller and must not be modified.
 func (s *Server) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.PackageID) (*Manifest, error) {
 	p, ok := s.store.Pick(region, bucket, rnd, exclude...)
 	if !ok {
@@ -64,21 +114,26 @@ func (s *Server) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.Pa
 		return nil, ErrNoPackage
 	}
 	s.tel.Counter("transport.server.manifests_total").Inc()
-	return manifestFor(p, s.chunkSize), nil
+	return s.wireFor(p).man, nil
 }
 
 // Chunk returns the gzip-compressed bytes of chunk idx of package id.
+// The returned slice is shared with every other caller and must not be
+// modified.
 func (s *Server) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
 	p, ok := s.store.Get(id)
 	if !ok {
+		s.mu.Lock()
+		delete(s.wire, id)
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: package %d not found", ErrRPC, id)
 	}
-	lo, hi, err := chunkBounds(len(p.Data), s.chunkSize, idx)
-	if err != nil {
-		return nil, err
+	w := s.wireFor(p)
+	if idx < 0 || idx >= len(w.chunks) {
+		return nil, fmt.Errorf("%w: chunk %d out of range", ErrRPC, idx)
 	}
 	s.tel.Counter("transport.server.chunks_total").Inc()
-	return compressChunk(p.Data[lo:hi]), nil
+	return w.chunks[idx], nil
 }
 
 // Publish stores an uploaded package, stamped with the publisher's

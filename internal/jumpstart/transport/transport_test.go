@@ -3,7 +3,12 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"jumpstart/internal/jumpstart"
@@ -550,5 +555,261 @@ func TestLazyPagerPageInAndMiss(t *testing.T) {
 	local := NewLazyPager(deadCli, nil, hz)
 	if cycles, ok := local.PageIn("x"); cycles != 0 || !ok {
 		t.Fatalf("manifestless page-in = %v/%v, want 0/true", cycles, ok)
+	}
+}
+
+// badManifestConn serves a corrupted copy of the real manifest on the
+// first Manifest RPC and passes everything else through.
+type badManifestConn struct {
+	Conn
+	corrupt func(*Manifest)
+	served  bool
+	chunks  int
+}
+
+func (c *badManifestConn) Manifest(region, bucket int, rnd uint64, exclude []jumpstart.PackageID) (*Manifest, error) {
+	m, err := c.Conn.Manifest(region, bucket, rnd, exclude)
+	if err != nil || c.served {
+		return m, err
+	}
+	c.served = true
+	bad := *m
+	bad.Chunks = append([]uint64(nil), m.Chunks...)
+	c.corrupt(&bad)
+	return &bad, nil
+}
+
+func (c *badManifestConn) Chunk(id jumpstart.PackageID, idx int) ([]byte, error) {
+	c.chunks++
+	return c.Conn.Chunk(id, idx)
+}
+
+// badManifests corrupt a manifest's geometry in each way the client
+// must reject before sizing a buffer or an inflate bound from it.
+var badManifests = map[string]func(*Manifest){
+	"negative size":   func(m *Manifest) { m.Size = -1 },
+	"huge size":       func(m *Manifest) { m.Size = 1 << 62 },
+	"size past limit": func(m *Manifest) { m.Size = maxPublishBytes + 1 },
+	"zero chunk size": func(m *Manifest) { m.ChunkSize = 0 },
+	"negative chunk":  func(m *Manifest) { m.ChunkSize = -512 },
+	"missing chunk":   func(m *Manifest) { m.Chunks = m.Chunks[:len(m.Chunks)-1] },
+	"extra chunk":     func(m *Manifest) { m.Chunks = append(m.Chunks, 7) },
+	"chunk too small": func(m *Manifest) { m.ChunkSize /= 2 },
+}
+
+// TestFetchRejectsBadManifest: a manifest whose size or chunk geometry
+// no stored package can have is a retryable RPC failure that is not
+// kept — the retry re-resolves a good manifest and no chunk is fetched
+// against the bad one. A negative size used to reach
+// make([]byte, 0, man.Size) and panic.
+func TestFetchRejectsBadManifest(t *testing.T) {
+	payload := testPayload(2_000, 15)
+	for name, corrupt := range badManifests {
+		t.Run(name, func(t *testing.T) {
+			store := jumpstart.NewStore()
+			store.Publish(0, 0, payload)
+			clock := netsim.NewVirtualClock(0)
+			base := NewSimConn(NewServer(store, 512), netsim.NewFabric(netsim.Config{}), "c",
+				clock, netsim.NewStream(3), 1)
+			conn := &badManifestConn{Conn: base, corrupt: corrupt}
+			res, err := NewClient(conn, clock, ClientConfig{}).Fetch(0, 0, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Data, payload) || res.Attempts != 2 {
+				t.Fatalf("attempts = %d, payload ok = %v", res.Attempts, bytes.Equal(res.Data, payload))
+			}
+			if conn.chunks != 4 {
+				t.Fatalf("%d chunk RPCs, want 4 (none against the bad manifest)", conn.chunks)
+			}
+		})
+	}
+}
+
+// TestFetchChunkRejectsBadManifest: the page-in path bounds inflation
+// by the manifest's chunk size, so it refuses a bad manifest before
+// issuing any RPC.
+func TestFetchChunkRejectsBadManifest(t *testing.T) {
+	srv, cli, _, _ := newTestStack(t, testPayload(2_000, 16), 512, netsim.Config{}, ClientConfig{})
+	good, err := srv.Manifest(0, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range badManifests {
+		bad := *good
+		bad.Chunks = append([]uint64(nil), good.Chunks...)
+		corrupt(&bad)
+		if _, err := cli.FetchChunk(&bad, 0); !errors.Is(err, ErrRPC) {
+			t.Errorf("%s: err = %v, want ErrRPC", name, err)
+		}
+	}
+	if cr, err := cli.FetchChunk(good, 0); err != nil || len(cr.Data) != 512 {
+		t.Fatalf("good manifest page-in: %v", err)
+	}
+}
+
+// wireTestStore publishes payloads whose chunking covers the edge
+// shapes: empty, shorter than one chunk, exact multiple, ragged tail.
+func wireTestStore() (*jumpstart.Store, []jumpstart.PackageID) {
+	store := jumpstart.NewStore()
+	var ids []jumpstart.PackageID
+	for i, n := range []int{0, 100, 2048, 2500} {
+		ids = append(ids, store.Publish(i, 0, testPayload(n, uint64(20+i))))
+	}
+	return store, ids
+}
+
+// TestWireCacheMatchesFreshEncoding pins the wire memo's invariant:
+// every manifest and chunk the server serves, first request or
+// later, equals a fresh manifestFor/compressChunk of the stored bytes.
+func TestWireCacheMatchesFreshEncoding(t *testing.T) {
+	store, ids := wireTestStore()
+	srv := NewServer(store, 512)
+	for round := 0; round < 2; round++ {
+		for i, id := range ids {
+			p, _ := store.Get(id)
+			want := manifestFor(p, 512)
+			m, err := srv.Manifest(i, 0, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(m, want) {
+				t.Fatalf("package %d: cached manifest %+v, fresh %+v", id, m, want)
+			}
+			for idx := range want.Chunks {
+				lo, hi, _ := chunkBounds(len(p.Data), 512, idx)
+				wire, err := srv.Chunk(id, idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(wire, compressChunk(p.Data[lo:hi])) {
+					t.Fatalf("package %d chunk %d differs from a fresh compression", id, idx)
+				}
+			}
+		}
+	}
+}
+
+// TestWireCacheDropsRemovedPackage: the store stays the source of
+// truth. Once a package is removed, its RPCs fail and its memo goes.
+func TestWireCacheDropsRemovedPackage(t *testing.T) {
+	store, ids := wireTestStore()
+	srv := NewServer(store, 512)
+	id := ids[3]
+	if _, err := srv.Manifest(3, 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Chunk(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	store.Remove(id)
+	if _, err := srv.Chunk(id, 0); !errors.Is(err, ErrRPC) {
+		t.Fatalf("chunk of removed package: err = %v", err)
+	}
+	if _, err := srv.Manifest(3, 0, 0, nil); !errors.Is(err, ErrNoPackage) {
+		t.Fatalf("manifest of emptied bucket: err = %v", err)
+	}
+	srv.mu.Lock()
+	_, cached := srv.wire[id]
+	srv.mu.Unlock()
+	if cached {
+		t.Fatal("removed package still cached")
+	}
+}
+
+// TestWireCacheConcurrentHTTPChunks: concurrent chunk GETs through the
+// HTTP handler, racing to build the memo, all get the same bytes.
+func TestWireCacheConcurrentHTTPChunks(t *testing.T) {
+	store, ids := wireTestStore()
+	id := ids[3]
+	p, _ := store.Get(id)
+	ts := httptest.NewServer(NewServer(store, 512).Handler())
+	defer ts.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				idx := (g + k) % 5
+				resp, err := ts.Client().Get(fmt.Sprintf("%s/chunk?id=%d&idx=%d", ts.URL, id, idx))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wire, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				lo, hi, _ := chunkBounds(len(p.Data), 512, idx)
+				if err != nil || !bytes.Equal(wire, compressChunk(p.Data[lo:hi])) {
+					t.Errorf("goroutine %d chunk %d: wrong bytes (err %v)", g, idx, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// fetchSink keeps benchmarked fetches live.
+var fetchSink *FetchResult
+
+// TestFetchAllocRegression pins the per-fetch garbage of a warm-cache
+// fetch of the fleet benchmark's package shape (2 KiB in 512 B
+// chunks). The server serves memoised chunks and the client inflates on
+// pooled readers, so a fetch costs a few KiB; compressing or inflating
+// from scratch per chunk costs about 3 MB.
+func TestFetchAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	_, cli, _, _ := newTestStack(t, testPayload(2048, 17), 512, netsim.Config{}, ClientConfig{})
+	var err error
+	if fetchSink, err = cli.Fetch(0, 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	const fetches = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < fetches; i++ {
+		fetchSink, _ = cli.Fetch(0, 0, 1, nil)
+	}
+	runtime.ReadMemStats(&after)
+	perFetch := (after.TotalAlloc - before.TotalAlloc) / fetches
+	t.Logf("warm fetch allocates %d B", perFetch)
+	if perFetch >= 64<<10 {
+		t.Fatalf("warm fetch allocates %d B, ceiling 64 KiB", perFetch)
+	}
+}
+
+// BenchmarkFetch times a warm-cache Client.Fetch over a zero-latency
+// SimConn: the transport layer's own cost (manifest, chunk RPCs,
+// inflate, content-address and CRC checks, reassembly) per package.
+// Shapes: the fleet benchmark's package, and a jumpstartd-sized one at
+// the default chunk size.
+func BenchmarkFetch(b *testing.B) {
+	for _, sh := range []struct {
+		name            string
+		size, chunkSize int
+	}{
+		{"fleet-2KiB", 2048, 512},
+		{"default-256KiB", 256 << 10, DefaultChunkSize},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			store := jumpstart.NewStore()
+			store.Publish(0, 0, testPayload(sh.size, 18))
+			clock := netsim.NewVirtualClock(0)
+			conn := NewSimConn(NewServer(store, sh.chunkSize), netsim.NewFabric(netsim.Config{}),
+				"c", clock, netsim.NewStream(1), 1)
+			cli := NewClient(conn, clock, ClientConfig{})
+			b.SetBytes(int64(sh.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cli.Fetch(0, 0, 1, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fetchSink = res
+			}
+		})
 	}
 }
