@@ -15,7 +15,7 @@ OBS_COVER_FLOOR ?= 80
 SCENARIO_COVER_FLOOR ?= 80
 AUTOTUNE_COVER_FLOOR ?= 80
 
-.PHONY: build test bench alloccheck verify fuzz cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
+.PHONY: build test bench alloccheck verify fuzz golden cover faultsweep churnsweep regionsweep obssweep poolsweep scenariosweep
 
 BENCH_DATE ?= $(shell date +%Y-%m-%d)
 
@@ -51,6 +51,15 @@ alloccheck:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecompressChunk$$' -fuzztime 10s ./internal/jumpstart/transport/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s ./internal/jumpstart/transport/
+	$(GO) test -run '^$$' -fuzz '^FuzzHierarchyMatchesReference$$' -fuzztime 10s ./internal/microarch/
+
+# Full-scale golden: regenerates every figure at full scale with the
+# default -workers (the header records workers=0) into a temp file and
+# requires it byte-identical to testdata/experiments_full.out.
+golden:
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/experiments -fig all > $$out && diff testdata/experiments_full.out $$out; \
+	st=$$?; rm -f $$out; exit $$st
 
 # CI gate: vet plus the full suite under the race detector. The
 # parallel-vs-sequential determinism tests run here, so this also

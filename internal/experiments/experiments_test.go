@@ -16,11 +16,7 @@ func quickLab(t testing.TB) *Lab {
 	labOnce.Do(func() {
 		cfg := Quick()
 		if raceEnabled {
-			cfg = tinyConfig() // see race_on_test.go
-			// Reliability's crash-loop needs its full 6*Horizon fleet
-			// window to converge; tiny's determinism horizon is too
-			// short. Fleet ticks replay curves, so this stays cheap.
-			cfg.Horizon = Quick().Horizon
+			cfg = raceLabConfig() // see race_on_test.go
 		}
 		lab, labErr = NewLab(cfg)
 	})
@@ -28,6 +24,27 @@ func quickLab(t testing.TB) *Lab {
 		t.Fatal(labErr)
 	}
 	return lab
+}
+
+// raceLabConfig is the shared lab's scale under the race detector.
+// tinyConfig's site and request counts keep the suite inside go test's
+// default timeout. Quick's server cores, init cycles and fleet keep
+// what the scenario and tune shape tests assert: on tiny's two cores
+// and short init, Jump-Start loses to no-Jump-Start under failover and
+// halved caches cost no warmup time, and on tiny's fleet the tuner's
+// winner ties the default policy.
+func raceLabConfig() Config {
+	q := Quick()
+	cfg := tinyConfig()
+	// Reliability's crash-loop needs its full 6*Horizon fleet window to
+	// converge; tiny's determinism horizon is too short. Fleet ticks
+	// replay curves, so this stays cheap.
+	cfg.Horizon = q.Horizon
+	cfg.ServerCfg.Cores = q.ServerCfg.Cores
+	cfg.ServerCfg.CompileThreads = q.ServerCfg.CompileThreads
+	cfg.ServerCfg.InitCycles = q.ServerCfg.InitCycles
+	cfg.FleetCfg = q.FleetCfg
+	return cfg
 }
 
 func TestFig1Shape(t *testing.T) {

@@ -104,15 +104,14 @@ func TestNewNormalizesNonPowerOfTwo(t *testing.T) {
 		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 	// The normalized cache actually uses every set: with 64 sets of
-	// 8 ways and far more than 512 distinct hot lines, the line array
-	// must fill completely (the old masking bug left whole sets cold).
+	// 8 ways and far more than 512 distinct hot lines, every set's
+	// recency stack must fill completely (the old masking bug left
+	// whole sets cold).
 	full := 0
-	for _, ln := range a.l1i.lines {
-		if ln.ok {
-			full++
-		}
+	for _, n := range a.l1i.fill {
+		full += int(n)
 	}
-	if full != len(a.l1i.lines) {
-		t.Fatalf("only %d/%d L1I lines ever filled — sets unreachable", full, len(a.l1i.lines))
+	if full != len(a.l1i.tags) {
+		t.Fatalf("only %d/%d L1I lines ever filled — sets unreachable", full, len(a.l1i.tags))
 	}
 }

@@ -58,8 +58,8 @@ func DefaultConfig() Config {
 }
 
 // Validate reports a descriptive error when the geometry would break
-// the indexing arithmetic: newCache and newTLB extract set and page
-// indexes with shift-and-mask (setMask = sets-1, lineBits =
+// the indexing arithmetic: newCache extracts set and page indexes
+// with shift-and-mask (setMask = sets-1, lineBits =
 // log2(lineSize)), which silently mis-indexes — aliasing lines into a
 // fraction of the sets — unless sets, line size and page size are
 // powers of two. Callers that can surface an error (server.New does)
@@ -194,27 +194,30 @@ func (s Stats) DTLBMissRate() float64 { return rate(s.DTLBMisses, s.DTLBAccs) }
 // BranchMissRate returns mispredictions per branch.
 func (s Stats) BranchMissRate() float64 { return rate(s.BranchMiss, s.Branches) }
 
-// cache is a set-associative cache with LRU replacement. All ways of
-// all sets live in one flat slice (set s occupies lines[s*ways :
-// (s+1)*ways]) so an access touches a single allocation and the index
-// arithmetic stays branch-free.
+// cache is a set-associative cache with exact LRU replacement, held as
+// recency stacks of bare tags: set s is tags[s*ways : (s+1)*ways] with
+// the most recently used tag first, and fill[s] counts the valid tags
+// at its top. All sets live in one flat slice, so an access touches a
+// single allocation. A TLB is the one-set case: fully associative.
+//
+// This is exact LRU. Whether an access hits depends only on which tags
+// a set holds and in what recency order, not on the slots they sit in,
+// and a miss fills an empty way (slot fill[s] onward) before it evicts
+// the least recently used tag from the bottom. The fill count, not a
+// sentinel tag, marks the empty ways, so every 64-bit tag can be
+// stored.
 type cache struct {
-	lines    []line
+	tags     []uint64
+	fill     []uint32
 	ways     int
 	lineBits uint
 	setMask  uint64
-	tick     uint64
 }
 
-type line struct {
-	tag  uint64
-	used uint64
-	ok   bool
-}
-
-func newCache(sets, ways, lineSize int) *cache {
-	return &cache{
-		lines:    make([]line, sets*ways),
+func newCache(sets, ways, lineSize int) cache {
+	return cache{
+		tags:     make([]uint64, sets*ways),
+		fill:     make([]uint32, sets),
 		ways:     ways,
 		lineBits: log2(lineSize),
 		setMask:  uint64(sets - 1),
@@ -231,59 +234,33 @@ func log2(n int) uint {
 
 // access touches addr and reports whether it hit.
 func (c *cache) access(addr uint64) bool {
-	c.tick++
 	tag := addr >> c.lineBits
-	base := int(tag&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	victim := 0
-	for i := range set {
-		if set[i].ok && set[i].tag == tag {
-			set[i].used = c.tick
+	set := int(tag & c.setMask)
+	base := set * c.ways
+	return touch(c.tags[base:base+c.ways], &c.fill[set], tag)
+}
+
+// touch moves tag to the top of the recency stack s, whose first *n
+// slots hold valid tags, and reports whether it was already there. The
+// search and the shift are one pass: each scanned slot takes the tag
+// above it, so when tag is found at slot i, slots 0..i-1 have moved
+// down one and tag is at slot 0. A miss shifts the whole stack, which
+// drops the least recently used tag off the bottom unless an empty
+// slot takes it.
+func touch(s []uint64, n *uint32, tag uint64) bool {
+	live := s[:*n]
+	carry := tag
+	for i, t := range live {
+		live[i] = carry
+		if t == tag {
 			return true
 		}
-		if set[i].used < set[victim].used || !set[i].ok && set[victim].ok {
-			victim = i
-		}
+		carry = t
 	}
-	// Prefer an invalid way.
-	for i := range set {
-		if !set[i].ok {
-			victim = i
-			break
-		}
+	if len(live) < len(s) {
+		s[len(live)] = carry
+		*n++
 	}
-	set[victim] = line{tag: tag, used: c.tick, ok: true}
-	return false
-}
-
-// tlb is a fully-associative LRU TLB.
-type tlb struct {
-	entries  []line
-	pageBits uint
-	tick     uint64
-}
-
-func newTLB(entries, pageSize int) *tlb {
-	return &tlb{entries: make([]line, entries), pageBits: log2(pageSize)}
-}
-
-func (t *tlb) access(addr uint64) bool {
-	t.tick++
-	tag := addr >> t.pageBits
-	victim := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.ok && e.tag == tag {
-			e.used = t.tick
-			return true
-		}
-		if !e.ok {
-			victim = i
-		} else if t.entries[victim].ok && e.used < t.entries[victim].used {
-			victim = i
-		}
-	}
-	t.entries[victim] = line{tag: tag, used: t.tick, ok: true}
 	return false
 }
 
@@ -324,11 +301,11 @@ func b2u(b bool) uint64 {
 // Hierarchy bundles the simulated structures.
 type Hierarchy struct {
 	cfg  Config
-	l1i  *cache
-	l1d  *cache
-	llc  *cache
-	itlb *tlb
-	dtlb *tlb
+	l1i  cache
+	l1d  cache
+	llc  cache
+	itlb cache
+	dtlb cache
 	bp   *predictor
 
 	stats Stats
@@ -346,8 +323,8 @@ func New(cfg Config) *Hierarchy {
 		l1i:  newCache(cfg.L1ISets, cfg.L1IWays, cfg.LineSize),
 		l1d:  newCache(cfg.L1DSets, cfg.L1DWays, cfg.LineSize),
 		llc:  newCache(cfg.LLCSets, cfg.LLCWays, cfg.LineSize),
-		itlb: newTLB(cfg.ITLBEntries, cfg.PageSize),
-		dtlb: newTLB(cfg.DTLBEntries, cfg.PageSize),
+		itlb: newCache(1, cfg.ITLBEntries, cfg.PageSize),
+		dtlb: newCache(1, cfg.DTLBEntries, cfg.PageSize),
 		bp:   newPredictor(cfg.BPTableBits),
 	}
 }
@@ -356,12 +333,14 @@ func New(cfg Config) *Hierarchy {
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Fetch simulates fetching size bytes of code starting at addr,
-// returning the penalty cycles incurred (0 on all-hit).
+// returning the penalty cycles incurred (0 on all-hit). The lines are
+// counted from addr's offset in its line rather than bounded by
+// addr+size, which would wrap for code at the top of the address space.
 func (h *Hierarchy) Fetch(addr uint64, size int) int {
 	penalty := 0
 	line := uint64(h.cfg.LineSize)
-	end := addr + uint64(size)
-	for a := addr &^ (line - 1); a < end; a += line {
+	a := addr &^ (line - 1)
+	for n := (addr - a + uint64(max(size, 0)) + line - 1) >> h.l1i.lineBits; n > 0; n-- {
 		h.stats.Fetches++
 		h.stats.ITLBAccs++
 		if !h.itlb.access(a) {
@@ -378,6 +357,7 @@ func (h *Hierarchy) Fetch(addr uint64, size int) int {
 				penalty += h.cfg.LLCMissPenalty
 			}
 		}
+		a += line
 	}
 	return penalty
 }
